@@ -1,5 +1,8 @@
+import atexit
 import os
+import shutil
 import sys
+import tempfile
 
 
 def _driver_mem() -> str:
@@ -36,6 +39,13 @@ def _driver_mem() -> str:
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 
+
+# Table harnesses save their rows under REPRO_RESULTS_DIR, which
+# repro.experiments.common reads at import time; point it at a throwaway
+# directory before any test imports repro, so a test run never rewrites the
+# committed results/*.json.
+os.environ["REPRO_RESULTS_DIR"] = tempfile.mkdtemp(prefix="repro-results-")
+atexit.register(shutil.rmtree, os.environ["REPRO_RESULTS_DIR"], ignore_errors=True)
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(

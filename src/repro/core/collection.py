@@ -6,15 +6,22 @@ materialized-collection handle the Analytics Computation Executor consumes.
 1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix (Spark);
 2. :func:`repro.core.ordering.optimize_order` — CBMP_1.5 ordering
    (Spark Hamming pass + driver Christofides), or a user/"given" order;
-3. :func:`repro.core.diffstream` — edge difference stream (Spark), counted
-   to force materialization (the paper's collection creation time, CCT,
-   covers exactly these steps).
+3. the edge difference stream, sized exactly off the Hamming matrix of
+   Algorithm 1: |GV_t| is the distance of view t from the padded zero
+   column and |δC_t| the distance between consecutive views. The matrix is
+   one Spark pass over the cached EBM, run here for every order (the
+   paper's collection creation time, CCT, covers exactly these steps).
+   :func:`repro.core.diffstream.diff_stream` is the reference
+   materialization of the stream itself.
 
 :class:`MaterializedCollection` exposes per-view edge sets and per-
-transition difference sets δC_t. Artificial collections built from explicit
-edge sets (paper §5's controlled experiment, our Table 2) go through
-:func:`from_edge_sets`, which fabricates the equivalent EBM so every
-collection takes the same code path downstream.
+transition difference sets δC_t from one driver-side arrangement of the EBM
+(edge columns plus a bool matrix), collected by one Spark query the first
+time an analytics run asks for a view; every view and δ is then a column
+mask. Artificial collections built from explicit edge sets (paper §5's
+controlled experiment, our Table 2) go through :func:`from_edge_sets`, which
+fabricates the equivalent EBM so every collection takes the same code path
+downstream.
 """
 from __future__ import annotations
 
@@ -24,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.core import diffstream as ds
+from repro.core import ordering
 from repro.core.ebm import BITS, compute_ebm
 from repro.core.ordering import optimize_order
 from repro.gvdl import parse, to_spark_column
@@ -39,7 +45,10 @@ class MaterializedCollection:
     """An ordered view collection backed by a cached EBM frame.
 
     ``names``/``order`` are aligned: ``names[t]`` is the view executed at
-    timestamp t, which is EBM column ``order[t]``.
+    timestamp t, which is EBM column ``order[t]``. ``hamming`` is the
+    (k+1)×(k+1) matrix of Algorithm 1 (row/column 0 is the empty view).
+    ``views`` memoizes the analytics executor's per-view edge streams, keyed
+    by ``(t, undirected)``, so every run over the collection shares them.
     """
 
     spark: SparkSession
@@ -50,39 +59,52 @@ class MaterializedCollection:
     vertices: pd.DataFrame
     view_sizes: list[int]
     diff_counts: list[int]
-    hamming: np.ndarray | None = None
+    hamming: np.ndarray
     cct: dict = field(default_factory=dict)
+    views: dict = field(default_factory=dict, repr=False)
+    _edges: pd.DataFrame | None = field(default=None, init=False, repr=False)
+    _bits: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
         return len(self.order)
 
+    def _arrangement(self) -> tuple[pd.DataFrame, np.ndarray]:
+        """The EBM at the driver: (src, dst, weight) rows and their bits as
+        a bool matrix in EBM column order, collected on first use."""
+        if self._edges is None:
+            pdf = self.ebm.select("src", "dst", "weight", BITS).toPandas()
+            self._bits = (
+                np.vstack(pdf[BITS].to_numpy()).astype(bool)
+                if len(pdf)
+                else np.zeros((0, self.k), dtype=bool)
+            )
+            self._edges = pdf[["src", "dst", "weight"]]
+        return self._edges, self._bits
+
     def view_edges_pd(self, t: int) -> pd.DataFrame:
         """Edge set (src, dst, weight) of the t-th view in collection order."""
-        col = self.order[t]
-        return (
-            self.ebm.where(F.col(BITS)[col])
-            .select("src", "dst", "weight")
-            .toPandas()
-        )
+        edges, bits = self._arrangement()
+        return edges[bits[:, self.order[t]]].reset_index(drop=True)
 
     def delta_pd(self, t: int) -> pd.DataFrame:
         """δC_t as (src, dst, weight, sign ±1); t ≥ 1."""
         if t < 1:
             raise ValueError("δC_0 is the first view itself; use view_edges_pd(0)")
-        a, b = self.order[t - 1], self.order[t]
-        return (
-            self.ebm.where(F.col(BITS)[a] != F.col(BITS)[b])
-            .select(
-                "src",
-                "dst",
-                "weight",
-                F.when(F.col(BITS)[b], F.lit(1)).otherwise(F.lit(-1)).alias("sign"),
-            )
-            .toPandas()
-        )
+        edges, bits = self._arrangement()
+        a, b = bits[:, self.order[t - 1]], bits[:, self.order[t]]
+        flip = a != b
+        out = edges[flip].reset_index(drop=True)
+        out["sign"] = np.where(b[flip], 1, -1).astype("int32")
+        return out
 
     def unpersist(self) -> None:
+        """Release the memoized views' Spark frames, the driver arrangement
+        and the cached EBM."""
+        for view in self.views.values():
+            view.unpersist()
+        self.views.clear()
+        self._edges = self._bits = None
         self.ebm.unpersist()
 
 
@@ -109,8 +131,11 @@ def _finish(
     cct["ordering"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    counts = ds.diff_counts(ebm, order)  # forces diff-stream materialization
-    sizes = ds.view_sizes(ebm, order)
+    if hamming is None:
+        hamming = ordering.hamming_matrix(ebm, k)
+    cols = [0] + [c + 1 for c in order]
+    sizes = [int(hamming[0, c]) for c in cols[1:]]
+    counts = [int(hamming[cols[t], cols[t + 1]]) for t in range(k)]
     cct["diffstream"] = time.perf_counter() - t0
     cct["total"] = sum(cct.values())
     return MaterializedCollection(
@@ -182,6 +207,7 @@ def from_edge_sets(
     collections (paper §5's controlled experiment) flow through the same
     executor path as predicate-defined ones. Views keep the given order.
     """
+    t0 = time.perf_counter()
     k = len(edge_sets)
     names = names or [f"V{t}" for t in range(k)]
     frames = []
@@ -218,4 +244,5 @@ def from_edge_sets(
         ebm_pd, schema="eid long, src long, dst long, weight double, bits array<boolean>"
     ).cache()
     ebm.count()
-    return _finish(spark, name, names, ebm, vertices, "given", {"ebm": 0.0})
+    cct = {"ebm": time.perf_counter() - t0}
+    return _finish(spark, name, names, ebm, vertices, "given", cct)

@@ -4,6 +4,11 @@ Treat the ordered view collection as an evolving input: δC_t contains edge
 e with multiplicity +1 if e enters at view t, −1 if it leaves, 0 otherwise
 (with δC_0 = the first view itself, i.e. every edge of GV_0 enters at t=0).
 Per-edge contributions are independent — one embarrassingly parallel pass.
+
+These passes are the reference materialization of the stream. Collection
+creation (:mod:`repro.core.collection`) reads the same |GV_t| and |δC_t|
+exactly off the Hamming matrix of Algorithm 1 instead, and serves each δC_t
+as a mask over its driver-side EBM arrangement.
 """
 from __future__ import annotations
 

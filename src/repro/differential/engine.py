@@ -93,7 +93,9 @@ class _CSR:
 
 
 class ViewEdges:
-    """One view's edge stream: a cached Spark frame plus a driver index.
+    """One view's edge stream: a driver-side edge list with CSR indices,
+    plus a Spark frame created and cached on first use, i.e. only when a
+    dataflow round is too large for the driver (:data:`LOCAL_AGG_THRESHOLD`).
 
     ``undirected=True`` symmetrizes the edge set (WCC propagates both ways).
     """
@@ -117,10 +119,17 @@ class ViewEdges:
         e["weight"] = e["weight"].astype("float64")
         self.pd = e.reset_index(drop=True)
         self.undirected = undirected
-        self.sdf: DataFrame = spark.createDataFrame(
-            self.pd, schema="src long, dst long, weight double"
-        ).coalesce(4).cache()
-        self.sdf.count()
+        self._spark = spark
+        self._sdf: DataFrame | None = None
+
+    @property
+    def sdf(self) -> DataFrame:
+        """The edge stream as a cached Spark frame (lazy)."""
+        if self._sdf is None:
+            self._sdf = self._spark.createDataFrame(
+                self.pd, schema="src long, dst long, weight double"
+            ).coalesce(4).cache()
+        return self._sdf
 
     @property
     def n_edges(self) -> int:
@@ -151,7 +160,9 @@ class ViewEdges:
         return counts.reindex(vids, fill_value=0).to_numpy(dtype="float64")
 
     def unpersist(self) -> None:
-        self.sdf.unpersist()
+        if self._sdf is not None:
+            self._sdf.unpersist()
+            self._sdf = None
 
 
 class AlgoSpec:
@@ -415,16 +426,21 @@ def _effective_delta_dirty(
     delta_pd: pd.DataFrame | None,
 ) -> np.ndarray:
     """Positions affected by the edge diff at *every* iteration: dst
-    endpoints of δ. For undirected specs δ is recomputed in symmetrized
-    space (a symmetrized delta is not the delta of symmetrized views)."""
-    if spec.undirected or delta_pd is None:
+    endpoints of δ. For undirected specs both endpoints of δ are marked: an
+    edge of the symmetrized view changes only if u→v or v→u is in δ, so this
+    is a safe superset of the symmetrized views' diff (which can be smaller,
+    e.g. when one edge of a reciprocal pair leaves). Without a fed δ, the
+    diff is recomputed from the two views."""
+    if delta_pd is None:
         a = prev_view.pd[["src", "dst", "weight"]]
         b = new_view.pd[["src", "dst", "weight"]]
         m = a.merge(b, on=["src", "dst", "weight"], how="outer", indicator=True)
-        dd = m[m["_merge"] != "both"]
-        dsts = dd["dst"].drop_duplicates()
+        dsts = m.loc[m["_merge"] != "both", "dst"]
+    elif spec.undirected:
+        dsts = pd.concat([delta_pd["src"], delta_pd["dst"]], ignore_index=True)
     else:
-        dsts = delta_pd["dst"].drop_duplicates()
+        dsts = delta_pd["dst"]
+    dsts = dsts.drop_duplicates()
     if isinstance(idx, pd.MultiIndex):
         qs = idx.get_level_values(1).unique()
         keys = pd.MultiIndex.from_product([dsts, qs])

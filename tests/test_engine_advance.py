@@ -32,18 +32,44 @@ def make_sequence(seed, n_views=4, n_add=25, n_remove=25):
     return nodes, seq
 
 
-def run_sequence(spark, nodes, seq, spec_fn):
+def make_undirected_case(case):
+    """Three views around a new vertex v tied to u by two edges: u→v and
+    v→u ("reciprocal"), or v→u twice with different weights ("parallel").
+    View 1 drops the first of them, which leaves the symmetrized view
+    unchanged; view 2 drops the second, which cuts v off."""
+    nodes, (base,) = make_sequence(4, n_views=1)
+    u, v, w = int(base.src[0]), len(nodes), float(base.weight[0])
+    nodes = pd.concat([nodes, pd.DataFrame({"vid": [v]})], ignore_index=True)
+    first = (u, v, w) if case == "reciprocal" else (v, u, w + 1.0)
+    pair = pd.DataFrame([first, (v, u, w)], columns=["src", "dst", "weight"])
+    seq = [pd.concat([base, pair.tail(n)], ignore_index=True) for n in (2, 1, 0)]
+    return nodes, seq
+
+
+def edge_delta(old, new):
+    """δ between two edge lists as (src, dst, weight, sign ±1), the form a
+    collection feeds to an advance."""
+    cols = ["src", "dst", "weight"]
+    m = old[cols].merge(new[cols], how="outer", indicator=True)
+    d = m[m["_merge"] != "both"]
+    return d[cols].assign(sign=np.where(d["_merge"] == "right_only", 1, -1))
+
+
+def run_sequence(spark, nodes, seq, spec_fn, feed_delta=True):
     """Returns (advance_results, scratch_results, advance_affected)."""
     adv_finals, scr_finals, adv_aff = [], [], []
     with engine_conf(spark):
         prev = None
-        for edges in seq:
+        for t, edges in enumerate(seq):
             spec = spec_fn()
             view = ViewEdges(spark, edges, undirected=spec.undirected)
             if prev is None:
                 adv = run_view(spark, view, spec, nodes[["vid"]])
             else:
-                adv = run_view(spark, view, spec, nodes[["vid"]], prev=prev)
+                delta = edge_delta(seq[t - 1], edges) if feed_delta else None
+                adv = run_view(
+                    spark, view, spec, nodes[["vid"]], prev=prev, delta_pd=delta
+                )
             scr = run_view(spark, view, spec_fn(), nodes[["vid"]])
             adv_finals.append(adv.final())
             scr_finals.append(scr.final())
@@ -62,9 +88,14 @@ SPECS = {
 
 
 @pytest.mark.parametrize("algo", list(SPECS))
-@pytest.mark.parametrize("seed", [1, 2])
-def test_advance_equals_scratch(spark, algo, seed):
-    nodes, seq = make_sequence(seed)
+@pytest.mark.parametrize("case", [1, 2, "reciprocal", "parallel"])
+def test_advance_equals_scratch(spark, algo, case):
+    """Random sequences (int seeds) and the undirected-δ cases of
+    :func:`make_undirected_case`, each advanced with its δ fed."""
+    if isinstance(case, int):
+        nodes, seq = make_sequence(case)
+    else:
+        nodes, seq = make_undirected_case(case)
     src = int(seq[0].src.value_counts().idxmax())
     adv, scr, _ = run_sequence(spark, nodes, seq, SPECS[algo](src))
     for t, (a, s) in enumerate(zip(adv, scr)):
@@ -75,7 +106,8 @@ def test_advance_equals_scratch(spark, algo, seed):
 def test_advance_matches_reference_on_last_view(spark, algo):
     nodes, seq = make_sequence(5)
     src = int(seq[0].src.value_counts().idxmax())
-    adv, _, _ = run_sequence(spark, nodes, seq, SPECS[algo](src))
+    # No δ fed: the engine recomputes the diff from the two views.
+    adv, _, _ = run_sequence(spark, nodes, seq, SPECS[algo](src), feed_delta=False)
     edges = seq[-1]
     vids = list(nodes.vid)
     got = dict(zip(sorted(vids), adv[-1]))

@@ -92,3 +92,32 @@ def test_stats_recorded(coll, source):
 def test_unknown_strategy(coll):
     with pytest.raises(ValueError):
         run_collection(coll, WCC(), "turbo")
+
+
+def test_views_shared_across_runs(spark, monkeypatch):
+    """Views are built once per (view, undirected) and shared by every later
+    run over the collection; ``unpersist`` releases them."""
+    import repro.core.executor as executor
+
+    nodes = pd.DataFrame({"vid": range(5)})
+    seq = [
+        pd.DataFrame({"src": [0, 1, 2], "dst": [1, 2, 3]}),
+        pd.DataFrame({"src": [0, 1, 3], "dst": [1, 2, 4]}),
+        pd.DataFrame({"src": [1, 3], "dst": [2, 4]}),
+    ]
+    c = from_edge_sets(spark, "shared", seq, nodes)
+    run_collection(c, WCC(), "diff", keep_results=False)
+    run_collection(c, BFS(0), "diff", keep_results=False)
+    views = dict(c.views)
+    assert set(views) == {(t, u) for t in range(c.k) for u in (False, True)}
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a view was rebuilt")
+
+    monkeypatch.setattr(executor, "ViewEdges", no_build)
+    for strategy in ("scratch", "diff", "adaptive"):
+        run_collection(c, WCC(), strategy, keep_results=False)
+        run_collection(c, BFS(0), strategy, keep_results=False)
+    assert c.views == views
+    c.unpersist()
+    assert c.views == {}
