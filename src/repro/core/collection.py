@@ -3,25 +3,27 @@ materialized-collection handle the Analytics Computation Executor consumes.
 
 ``materialize_collection`` runs the three-step pipeline:
 
-1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix (Spark);
+1. :func:`repro.core.ebm.compute_ebm` — edge boolean matrix, one Spark
+   query whose result :func:`repro.core.ebm.collect_ebm` lands at the driver
+   through Arrow as the collection's arrangement (edge columns plus a bool
+   matrix), with no cached EBM and no second pass;
 2. :func:`repro.core.ordering.optimize_order` — CBMP_1.5 ordering
-   (Spark Hamming pass + driver Christofides), or a user/"given" order;
+   (Algorithm 1's Hamming matrix on the driver + Christofides), or a
+   user/"given" order;
 3. the edge difference stream, sized exactly off the Hamming matrix of
    Algorithm 1: |GV_t| is the distance of view t from the padded zero
    column and |δC_t| the distance between consecutive views. The matrix is
-   one Spark pass over the cached EBM, run here for every order (the
-   paper's collection creation time, CCT, covers exactly these steps).
+   computed here for every order (the paper's collection creation time,
+   CCT, covers exactly these steps).
    :func:`repro.core.diffstream.diff_stream` is the reference
    materialization of the stream itself.
 
 :class:`MaterializedCollection` exposes per-view edge sets and per-
-transition difference sets δC_t from one driver-side arrangement of the EBM
-(edge columns plus a bool matrix), collected by one Spark query the first
-time an analytics run asks for a view; every view and δ is then a column
-mask. Artificial collections built from explicit edge sets (paper §5's
-controlled experiment, our Table 2) go through :func:`from_edge_sets`, which
-fabricates the equivalent EBM so every collection takes the same code path
-downstream.
+transition difference sets δC_t as column masks over that arrangement, with
+no Spark job. Artificial collections built from explicit edge sets (paper
+§5's controlled experiment, our Table 2) go through :func:`from_edge_sets`,
+which builds the arrangement directly and fabricates the equivalent EBM
+frame, so every collection takes the same code path downstream.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 
 from repro.core import ordering
-from repro.core.ebm import BITS, compute_ebm
+from repro.core.ebm import BITS, collect_ebm, compute_ebm
 from repro.core.ordering import optimize_order
 from repro.gvdl import parse, to_spark_column
 from repro.gvdl.parser import ViewCollectionDef
@@ -42,13 +44,16 @@ from repro.storage.store import GraphStore
 
 @dataclass
 class MaterializedCollection:
-    """An ordered view collection backed by a cached EBM frame.
+    """An ordered view collection backed by a driver-side EBM arrangement.
 
     ``names``/``order`` are aligned: ``names[t]`` is the view executed at
-    timestamp t, which is EBM column ``order[t]``. ``hamming`` is the
-    (k+1)×(k+1) matrix of Algorithm 1 (row/column 0 is the empty view).
-    ``views`` memoizes the analytics executor's per-view edge streams, keyed
-    by ``(t, undirected)``, so every run over the collection shares them.
+    timestamp t, which is EBM column ``order[t]``. ``edges`` holds the EBM's
+    (src, dst, weight) rows and ``bits`` their (rows × k) bool matrix in EBM
+    column order. ``ebm`` is the (uncached) Spark frame they were collected
+    from. ``hamming`` is the (k+1)×(k+1) matrix of Algorithm 1 (row/column 0
+    is the empty view). ``views`` memoizes the analytics executor's per-view
+    edge streams, keyed by ``(t, undirected)``, so every run over the
+    collection shares them.
     """
 
     spark: SparkSession
@@ -60,52 +65,36 @@ class MaterializedCollection:
     view_sizes: list[int]
     diff_counts: list[int]
     hamming: np.ndarray
+    edges: pd.DataFrame = field(repr=False)
+    bits: np.ndarray = field(repr=False)
     cct: dict = field(default_factory=dict)
     views: dict = field(default_factory=dict, repr=False)
-    _edges: pd.DataFrame | None = field(default=None, init=False, repr=False)
-    _bits: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
         return len(self.order)
 
-    def _arrangement(self) -> tuple[pd.DataFrame, np.ndarray]:
-        """The EBM at the driver: (src, dst, weight) rows and their bits as
-        a bool matrix in EBM column order, collected on first use."""
-        if self._edges is None:
-            pdf = self.ebm.select("src", "dst", "weight", BITS).toPandas()
-            self._bits = (
-                np.vstack(pdf[BITS].to_numpy()).astype(bool)
-                if len(pdf)
-                else np.zeros((0, self.k), dtype=bool)
-            )
-            self._edges = pdf[["src", "dst", "weight"]]
-        return self._edges, self._bits
-
     def view_edges_pd(self, t: int) -> pd.DataFrame:
         """Edge set (src, dst, weight) of the t-th view in collection order."""
-        edges, bits = self._arrangement()
-        return edges[bits[:, self.order[t]]].reset_index(drop=True)
+        return self.edges[self.bits[:, self.order[t]]].reset_index(drop=True)
 
     def delta_pd(self, t: int) -> pd.DataFrame:
         """δC_t as (src, dst, weight, sign ±1); t ≥ 1."""
         if t < 1:
             raise ValueError("δC_0 is the first view itself; use view_edges_pd(0)")
-        edges, bits = self._arrangement()
-        a, b = bits[:, self.order[t - 1]], bits[:, self.order[t]]
+        a, b = self.bits[:, self.order[t - 1]], self.bits[:, self.order[t]]
         flip = a != b
-        out = edges[flip].reset_index(drop=True)
+        out = self.edges[flip].reset_index(drop=True)
         out["sign"] = np.where(b[flip], 1, -1).astype("int32")
         return out
 
     def unpersist(self) -> None:
-        """Release the memoized views' Spark frames, the driver arrangement
-        and the cached EBM."""
+        """Release the memoized views' Spark frames and the arrangement; the
+        collection serves no view or δ afterwards."""
         for view in self.views.values():
             view.unpersist()
         self.views.clear()
-        self._edges = self._bits = None
-        self.ebm.unpersist()
+        self.edges = self.bits = None
 
 
 def _finish(
@@ -113,6 +102,8 @@ def _finish(
     name: str,
     names_by_col: list[str],
     ebm: DataFrame,
+    edges: pd.DataFrame,
+    bits: np.ndarray,
     vertices: pd.DataFrame,
     order,
     cct: dict,
@@ -121,7 +112,7 @@ def _finish(
     hamming = None
     t0 = time.perf_counter()
     if order == "optimize":
-        order, hamming = optimize_order(ebm, k)
+        order, hamming = optimize_order(bits)
     elif order == "given":
         order = list(range(k))
     else:
@@ -132,7 +123,7 @@ def _finish(
 
     t0 = time.perf_counter()
     if hamming is None:
-        hamming = ordering.hamming_matrix(ebm, k)
+        hamming = ordering.hamming_matrix(bits)
     cols = [0] + [c + 1 for c in order]
     sizes = [int(hamming[0, c]) for c in cols[1:]]
     counts = [int(hamming[cols[t], cols[t + 1]]) for t in range(k)]
@@ -148,6 +139,8 @@ def _finish(
         view_sizes=sizes,
         diff_counts=counts,
         hamming=hamming,
+        edges=edges,
+        bits=bits,
         cct=cct,
     )
 
@@ -168,11 +161,19 @@ def materialize_collection(
     """
     cct: dict = {}
     t0 = time.perf_counter()
-    ebm = compute_ebm(store, [c for _, c in views], weight_col=weight_col).cache()
-    ebm.count()  # force EBM materialization for honest CCT
+    ebm = compute_ebm(store, [c for _, c in views], weight_col=weight_col)
+    edges, bits = collect_ebm(ebm, len(views))
     cct["ebm"] = time.perf_counter() - t0
     return _finish(
-        store.spark, name, [n for n, _ in views], ebm, store.vertices(), order, cct
+        store.spark,
+        name,
+        [n for n, _ in views],
+        ebm,
+        edges,
+        bits,
+        store.vertices(),
+        order,
+        cct,
     )
 
 
@@ -234,15 +235,15 @@ def from_edge_sets(
     ebm_pd = pd.DataFrame(
         {
             "eid": uni.eid.to_numpy(),
-            "src": uni.src.to_numpy(),
-            "dst": uni.dst.to_numpy(),
+            "src": uni.src.to_numpy().astype("int64"),
+            "dst": uni.dst.to_numpy().astype("int64"),
             "weight": uni.weight.to_numpy().astype("float64"),
             BITS: bits.tolist(),
         }
     )
     ebm = spark.createDataFrame(
         ebm_pd, schema="eid long, src long, dst long, weight double, bits array<boolean>"
-    ).cache()
-    ebm.count()
+    )
+    edges = ebm_pd[["src", "dst", "weight"]]
     cct = {"ebm": time.perf_counter() - t0}
-    return _finish(spark, name, names, ebm, vertices, "given", cct)
+    return _finish(spark, name, names, ebm, edges, bits, vertices, "given", cct)

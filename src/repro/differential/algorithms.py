@@ -23,6 +23,15 @@ from repro.differential.engine import AlgoSpec, RunResult
 _INF = float("inf")
 
 
+def _source_loc(idx: pd.Index, key, vid: int) -> int:
+    """Position of a source vertex's state in ``idx``; a source outside the
+    vertex set is rejected before any round runs."""
+    try:
+        return idx.get_loc(key)
+    except KeyError:
+        raise ValueError(f"source vertex {vid} is not in the vertex set") from None
+
+
 class _MinDistanceSpec(AlgoSpec):
     """Shared plumbing for min-aggregate distance/label algorithms."""
 
@@ -64,7 +73,7 @@ class BFS(_MinDistanceSpec):
 
     def init_values(self, idx: pd.Index) -> np.ndarray:
         v = np.full(len(idx), _INF)
-        v[idx.get_loc(self.source)] = 0.0
+        v[_source_loc(idx, self.source, self.source)] = 0.0
         return v
 
     def message(self) -> Column:
@@ -84,7 +93,7 @@ class BellmanFord(_MinDistanceSpec):
 
     def init_values(self, idx: pd.Index) -> np.ndarray:
         v = np.full(len(idx), _INF)
-        v[idx.get_loc(self.source)] = 0.0
+        v[_source_loc(idx, self.source, self.source)] = 0.0
         return v
 
     def message(self) -> Column:
@@ -148,7 +157,7 @@ class MPSP(_MinDistanceSpec):
     def init_values(self, idx: pd.Index) -> np.ndarray:
         v = np.full(len(idx), _INF)
         for q, (s, _) in enumerate(self.pairs):
-            v[idx.get_loc((s, q))] = 0.0
+            v[_source_loc(idx, (s, q), s)] = 0.0
         return v
 
     def message(self) -> Column:

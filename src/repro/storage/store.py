@@ -4,8 +4,8 @@ Base graphs are imported from driver-side pandas frames (the equivalent of
 the paper's csv import) or from csv files. Each node keeps a user-supplied
 64-bit ``vid``; each edge gets a dense 64-bit ``eid`` on import. The edge
 stream is a cached Spark DataFrame ``(eid, src, dst, <edge props...>)``;
-node properties live in a separate cached frame, joined on demand (the
-paper's sPtr/dPtr indirection) by :meth:`edge_view_frame`.
+node properties live in a separate cached frame, looked up on demand by
+broadcast (the paper's sPtr/dPtr indirection) in :meth:`edge_view_frame`.
 
 ``save``/``load`` persist both streams as parquet, mirroring the paper's
 "persisted in files".
@@ -81,7 +81,12 @@ class GraphStore:
         Output columns: ``eid, src, dst, <edge props>, src_<p>..., dst_<p>...``
         — the frame GVDL predicates are compiled against. This is the
         paper's "binary join to join node IDs with the vertex property
-        stream from Node Property Store".
+        stream from Node Property Store", where each edge reaches its
+        endpoints' properties by pointer (sPtr/dPtr): both node-property
+        frames are broadcast, so every edge partition looks its endpoints up
+        in a hash table and the edge stream is never shuffled. The node
+        property store fits the driver (the documented cap), so it fits a
+        broadcast.
         """
         e = self.edges_sdf
         props = self.node_prop_names()
@@ -96,8 +101,8 @@ class GraphStore:
             *[F.col(p).alias(f"dst_{p}") for p in props],
         )
         return (
-            e.join(s, e.src == s._svid)
-            .join(d, e.dst == d._dvid)
+            e.join(F.broadcast(s), e.src == s._svid)
+            .join(F.broadcast(d), e.dst == d._dvid)
             .drop("_svid", "_dvid")
         )
 

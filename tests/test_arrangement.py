@@ -1,7 +1,7 @@
 """The collection's driver-side EBM arrangement against the Spark paths it
 replaced: view sizes and |δC_t| read off the Hamming matrix must equal the
 diff-stream passes, and every view and δ mask read must equal a Spark filter
-over the cached EBM, on random EBMs and random orders."""
+over the EBM, on random EBMs and random orders."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -89,6 +89,34 @@ def test_collection_paths_match_spark(store, order):
     t_empty = coll.order.index(K - 1)
     assert coll.view_sizes[t_empty] == 0
     assert len(coll.view_edges_pd(t_empty)) == 0
+    coll.unpersist()
+
+
+def spark_jobs_during(spark, group, fn) -> int:
+    """Spark jobs started while ``fn`` runs, counted by job group."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_view_and_delta_reads_start_no_spark_job(spark, store):
+    """The arrangement is collected at creation: after it, every view and δ
+    read is a driver-side mask with no Spark job."""
+    coll = materialize_collection(store, "rand", _views(), order="optimize")
+
+    def read_all():
+        for t in range(coll.k):
+            coll.view_edges_pd(t)
+        for t in range(1, coll.k):
+            coll.delta_pd(t)
+
+    assert spark_jobs_during(spark, "arrangement-reads", read_all) == 0
+    assert spark_jobs_during(spark, "arrangement-control", coll.ebm.count) > 0
     coll.unpersist()
 
 

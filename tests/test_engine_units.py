@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.differential.algorithms import BFS, MPSP, BellmanFord
 from repro.differential.engine import (
     _CSR,
     _key_frame,
@@ -129,3 +130,15 @@ def test_render_rows():
     md = render_rows([{"a": 1, "b": 2.567}], ["a", "b"])
     assert md.splitlines()[0] == "| a | b |"
     assert "2.57" in md
+
+
+# ------------------------------------------------- missing source vertex
+@pytest.mark.parametrize(
+    "spec",
+    [BFS(99), BellmanFord(99), MPSP([(0, 3), (99, 1)])],
+    ids=["BFS", "BF", "MPSP"],
+)
+def test_missing_source_vertex_fails_fast(spec):
+    idx = spec.build_index(pd.DataFrame({"vid": np.arange(5, dtype="int64")}))
+    with pytest.raises(ValueError, match="source vertex 99 is not in the vertex set"):
+        spec.init_values(idx)
