@@ -14,22 +14,19 @@ SCC is doubly-iterative and lives in :mod:`repro.differential.scc`.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 from repro.differential.engine import AlgoSpec, RunResult
 
 _INF = float("inf")
 
 
-def _source_loc(idx: pd.Index, key, vid: int) -> int:
-    """Position of a source vertex's state in ``idx``; a source outside the
+def _vertex_loc(vids: np.ndarray, vid: int, role: str = "source") -> int:
+    """Position of a vertex in the sorted ``vids``; a vertex outside the
     vertex set is rejected before any round runs."""
-    try:
-        return idx.get_loc(key)
-    except KeyError:
-        raise ValueError(f"source vertex {vid} is not in the vertex set") from None
+    at = int(np.searchsorted(vids, vid))
+    if at == len(vids) or vids[at] != vid:
+        raise ValueError(f"{role} vertex {vid} is not in the vertex set")
+    return at
 
 
 class _MinDistanceSpec(AlgoSpec):
@@ -37,13 +34,22 @@ class _MinDistanceSpec(AlgoSpec):
 
     agg = "min"
 
-    def build_index(self, vertices: pd.DataFrame) -> pd.Index:
-        return pd.Index(
-            np.sort(vertices["vid"].to_numpy(dtype="int64")), name="vid"
-        )
-
     def update(self, init_vals: np.ndarray, agg_vals: np.ndarray) -> np.ndarray:
         return np.fmin(init_vals, agg_vals)  # NaN agg → init
+
+
+class _WeightedPaths(_MinDistanceSpec):
+    """Shortest paths over edge weights: ``msg = val + weight``. A weight
+    sum that never settles means the weights admit ever shorter walks."""
+
+    def message(self, val, weight, deg):
+        return val + weight
+
+    def no_fixpoint(self, limit: int) -> Exception:
+        return ValueError(
+            f"{self.name}: no fixpoint within {limit} iterations: "
+            "a negative cycle is reachable from the source"
+        )
 
 
 class WCC(_MinDistanceSpec):
@@ -53,13 +59,10 @@ class WCC(_MinDistanceSpec):
     name = "WCC"
     undirected = True
 
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        return idx.to_numpy(dtype="float64")
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        return vids.astype("float64")
 
-    def message(self) -> Column:
-        return F.col("val")
-
-    def message_np(self, val, weight, deg):
+    def message(self, val, weight, deg):
         return val
 
 
@@ -71,19 +74,16 @@ class BFS(_MinDistanceSpec):
     def __init__(self, source: int):
         self.source = int(source)
 
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        v = np.full(len(idx), _INF)
-        v[_source_loc(idx, self.source, self.source)] = 0.0
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        v = np.full(len(vids), _INF)
+        v[_vertex_loc(vids, self.source)] = 0.0
         return v
 
-    def message(self) -> Column:
-        return F.col("val") + F.lit(1.0)
-
-    def message_np(self, val, weight, deg):
+    def message(self, val, weight, deg):
         return val + 1.0
 
 
-class BellmanFord(_MinDistanceSpec):
+class BellmanFord(_WeightedPaths):
     """Single-source shortest paths: ``msg = val + weight`` (paper §2)."""
 
     name = "BF"
@@ -91,16 +91,10 @@ class BellmanFord(_MinDistanceSpec):
     def __init__(self, source: int):
         self.source = int(source)
 
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        v = np.full(len(idx), _INF)
-        v[_source_loc(idx, self.source, self.source)] = 0.0
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        v = np.full(len(vids), _INF)
+        v[_vertex_loc(vids, self.source)] = 0.0
         return v
-
-    def message(self) -> Column:
-        return F.col("val") + F.col("weight")
-
-    def message_np(self, val, weight, deg):
-        return val + weight
 
 
 class PageRank(AlgoSpec):
@@ -117,59 +111,37 @@ class PageRank(AlgoSpec):
         self.fixed_iters = int(iters)
         self.damping = float(damping)
 
-    def build_index(self, vertices: pd.DataFrame) -> pd.Index:
-        return pd.Index(
-            np.sort(vertices["vid"].to_numpy(dtype="int64")), name="vid"
-        )
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        return np.full(len(vids), 1.0)
 
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        return np.full(len(idx), 1.0)
-
-    def message(self) -> Column:
-        return F.when(F.col("deg") > 0, F.col("val") / F.col("deg")).otherwise(
-            F.lit(0.0)
-        )
-
-    def message_np(self, val, weight, deg):
-        return np.where(deg > 0, val / np.where(deg > 0, deg, 1.0), 0.0)
+    def message(self, val, weight, deg):
+        return val / deg  # deg ≥ 1: the message travels on an out-edge
 
     def update(self, init_vals: np.ndarray, agg_vals: np.ndarray) -> np.ndarray:
         return (1.0 - self.damping) + self.damping * np.nan_to_num(agg_vals)
 
 
-class MPSP(_MinDistanceSpec):
+class MPSP(_WeightedPaths):
     """Multiple-pair shortest paths: one SSSP per query, run as a single
-    keyed computation over state (vid, q). Paper §7.1: 5 (src, dst) pairs,
-    src fixed, dst random."""
+    keyed computation with one state key q per pair. Paper §7.1: 5
+    (src, dst) pairs, src fixed, dst random."""
 
     name = "MPSP"
-    keyed = True
 
     def __init__(self, pairs: list[tuple[int, int]]):
         self.pairs = [(int(s), int(d)) for s, d in pairs]
+        self.n_keys = len(self.pairs)
 
-    def build_index(self, vertices: pd.DataFrame) -> pd.Index:
-        vids = np.sort(vertices["vid"].to_numpy(dtype="int64"))
-        return pd.MultiIndex.from_product(
-            [vids, np.arange(len(self.pairs), dtype="int64")], names=["vid", "q"]
-        )
-
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        v = np.full(len(idx), _INF)
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        v = np.full(len(vids) * self.n_keys, _INF)
         for q, (s, _) in enumerate(self.pairs):
-            v[_source_loc(idx, (s, q), s)] = 0.0
+            v[_vertex_loc(vids, s) * self.n_keys + q] = 0.0
         return v
-
-    def message(self) -> Column:
-        return F.col("val") + F.col("weight")
-
-    def message_np(self, val, weight, deg):
-        return val + weight
 
     def pair_distances(self, result: RunResult) -> list[float]:
         """The (src, dst) distance for each query pair."""
         final = result.final()
         return [
-            float(final[result.idx.get_loc((d, q))])
+            float(final[_vertex_loc(result.idx, d, "target") * self.n_keys + q])
             for q, (_, d) in enumerate(self.pairs)
         ]

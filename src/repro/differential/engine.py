@@ -22,11 +22,20 @@ Execution modes (both through :func:`run_view`):
   Unaffected vertices inherit the old trajectory value without any work,
   which is DD's "empty input differences ⇒ empty output differences".
 
-Work placement: per-iteration message generation and aggregation — the
-O(E)-per-round dataflow — run as Spark DataFrame jobs over the view's
-cached edge stream; trajectories are NumPy arrays over a fixed vertex index
-and the affected-set bookkeeping uses a driver-side pandas copy of the edge
-list (DD's in-memory arrangements; DESIGN.md §2).
+State layout: ``vids`` is the sorted int64 vertex-id array and ``Q`` the
+spec's key count (1, or the number of MPSP queries). Key ``q`` of vertex
+``v`` lives at position ``searchsorted(vids, v)·Q + q`` of every state
+array, so keyed and plain specs share one code path.
+
+One round kernel, two backends: the in-edges feeding the affected
+positions are gathered from the view's CSR index, and each carries
+``message(val, weight, deg)``. Rounds with at most
+:data:`LOCAL_AGG_THRESHOLD` messages reduce them at the driver as a NumPy
+segment reduce (DD's in-memory arrangements); larger rounds run the same
+join + groupBy as a Spark job over the view's cached edge stream. A spec's
+``message`` uses arithmetic operators only, so the one method runs on NumPy
+arrays and on Spark Columns. ``deg`` (the source's out-degree) is never 0:
+a message only travels on an out-edge of its source in the same view.
 """
 from __future__ import annotations
 
@@ -36,24 +45,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 _AGG_FN = {"min": F.min, "max": F.max, "sum": F.sum}
+_REDUCE = {"min": np.minimum, "max": np.maximum, "sum": np.add}
 
 #: shuffle partitions used for engine jobs (reproduction-scale graphs are
 #: small; the session default of 64 would be pure scheduler overhead).
 ENGINE_SHUFFLE_PARTITIONS = "8"
 
-#: Small-delta fast path: when the in-edge subset feeding one dataflow
-#: round has at most this many rows, the round's aggregate is computed at
-#: the driver (a pandas mirror of the same join+groupBy) instead of
-#: scheduling a Spark job. This is the PySpark equivalent of DD doing
-#: tiny-difference work directly in its in-memory arrangements — without
-#: it, fixed per-job scheduling cost would hide the work-proportional-to-
-#: differences behaviour the paper measures. Large rounds (scratch runs,
-#: saturated affected sets) still execute as Spark dataflow jobs.
+#: Small-delta fast path: when one dataflow round carries at most this many
+#: messages, its aggregate is computed at the driver instead of scheduling
+#: a Spark job. This is the PySpark equivalent of DD doing tiny-difference
+#: work directly in its in-memory arrangements — without it, fixed per-job
+#: scheduling cost would hide the work-proportional-to-differences
+#: behaviour the paper measures. Large rounds (scratch runs, saturated
+#: affected sets) still execute as Spark dataflow jobs.
 LOCAL_AGG_THRESHOLD = 4000
+
+_NO_POS = np.empty(0, dtype="int64")
 
 
 @contextmanager
@@ -73,23 +84,23 @@ class _CSR:
 
     def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
         order = np.argsort(keys, kind="stable")
-        k = keys[order]
         self.v = values[order]
-        self.uk, starts = np.unique(k, return_index=True)
-        self.starts = starts
-        self.ends = np.append(starts[1:], len(k))
+        self.uk, starts = np.unique(keys[order], return_index=True)
+        self.indptr = np.append(starts, len(keys)).astype("int64")
 
-    def gather(self, query: np.ndarray) -> np.ndarray:
-        """Values for every key in ``query`` (absent keys contribute none)."""
-        if len(query) == 0 or len(self.uk) == 0:
-            return np.empty(0, dtype=self.v.dtype)
-        pos = np.searchsorted(self.uk, query)
-        ok = (pos < len(self.uk)) & (self.uk[np.minimum(pos, len(self.uk) - 1)] == query)
-        pos = pos[ok]
-        if len(pos) == 0:
-            return np.empty(0, dtype=self.v.dtype)
-        parts = [self.v[s:e] for s, e in zip(self.starts[pos], self.ends[pos])]
-        return np.concatenate(parts)
+    def gather(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values for every key in ``query``, concatenated in query order,
+        and how many each query key contributed (0 for absent keys)."""
+        at = np.searchsorted(self.uk, query)
+        hit = at < len(self.uk)
+        hit[hit] = self.uk[at[hit]] == query[hit]
+        starts = np.where(hit, self.indptr[np.where(hit, at, 0)], 0)
+        counts = np.where(hit, self.indptr[np.where(hit, at + 1, 0)] - starts, 0)
+        ends = np.cumsum(counts)
+        take = np.arange(ends[-1] if len(ends) else 0) - np.repeat(
+            ends - counts - starts, counts
+        )
+        return self.v[take], counts
 
 
 class ViewEdges:
@@ -118,6 +129,9 @@ class ViewEdges:
         e["dst"] = e["dst"].astype("int64")
         e["weight"] = e["weight"].astype("float64")
         self.pd = e.reset_index(drop=True)
+        self.src = self.pd["src"].to_numpy()
+        self.dst = self.pd["dst"].to_numpy()
+        self.weight = self.pd["weight"].to_numpy()
         self.undirected = undirected
         self._spark = spark
         self._sdf: DataFrame | None = None
@@ -139,19 +153,14 @@ class ViewEdges:
     def out_adj(self) -> _CSR:
         """src → dst adjacency index (lazy)."""
         if getattr(self, "_out_adj", None) is None:
-            self._out_adj = _CSR(
-                self.pd["src"].to_numpy(), self.pd["dst"].to_numpy()
-            )
+            self._out_adj = _CSR(self.src, self.dst)
         return self._out_adj
 
     @property
     def in_rows(self) -> _CSR:
         """dst → edge-row-position index (lazy)."""
         if getattr(self, "_in_rows", None) is None:
-            self._in_rows = _CSR(
-                self.pd["dst"].to_numpy(),
-                np.arange(len(self.pd), dtype="int64"),
-            )
+            self._in_rows = _CSR(self.dst, np.arange(len(self.pd), dtype="int64"))
         return self._in_rows
 
     def out_degree(self, vids: np.ndarray) -> np.ndarray:
@@ -167,42 +176,41 @@ class ViewEdges:
 
 class AlgoSpec:
     """Base class for engine algorithms. Subclasses set the class attrs and
-    implement :meth:`build_index`, :meth:`init_values`, :meth:`message`,
-    :meth:`update`."""
+    implement :meth:`init_values`, :meth:`message`, :meth:`update`.
+
+    State is laid out over the sorted vertex ids ``vids`` with ``n_keys``
+    keys per vertex (see the module docstring)."""
 
     name: str = "algo"
     agg: str = "min"  # min | max | sum
     fixed_iters: int | None = None  # run exactly this many iterations (PR)
     uses_degree: bool = False  # message reads src out-degree (PR)
     undirected: bool = False  # symmetrize edges (WCC)
-    keyed: bool = False  # state keyed by (vid, q) (MPSP)
+    n_keys: int = 1  # state keys per vertex, Q (MPSP: one per query)
     supports_advance: bool = True  # False → executor falls back to scratch
     tol: float = 0.0  # change-detection tolerance
 
     # ---- to implement -------------------------------------------------
-    def build_index(self, vertices: pd.DataFrame) -> pd.Index:
-        """State index: plain vid Int64Index, or (vid, q) MultiIndex."""
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        """Trajectory state at iteration 0 (float64, ``len(vids)·n_keys``)."""
         raise NotImplementedError
 
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        """Trajectory state at iteration 0 (float64)."""
-        raise NotImplementedError
-
-    def message(self) -> Column:
-        """Message expression over columns ``val``, ``weight``, ``deg``."""
-        raise NotImplementedError
-
-    def message_np(
-        self, val: np.ndarray, weight: np.ndarray, deg: np.ndarray | None
-    ) -> np.ndarray:
-        """NumPy mirror of :meth:`message`, used by the small-delta fast
-        path (see :data:`LOCAL_AGG_THRESHOLD`). Must compute exactly the
-        same values as the Spark expression."""
+    def message(self, val, weight, deg):
+        """The message an edge carries, from the source's state ``val``, the
+        edge ``weight`` and the source's out-degree ``deg`` (≥ 1, since a
+        message travels on an out-edge of its source). Written with
+        arithmetic operators only, so it runs unchanged on NumPy arrays
+        (driver rounds) and on Spark Columns (Spark rounds)."""
         raise NotImplementedError
 
     def update(self, init_vals: np.ndarray, agg_vals: np.ndarray) -> np.ndarray:
         """Combine init with the (NaN-where-absent) aggregate."""
         raise NotImplementedError
+
+    def no_fixpoint(self, limit: int) -> Exception:
+        """The error raised when a run finds no fixpoint within ``limit``
+        iterations."""
+        return RuntimeError(f"{self.name}: no fixpoint within {limit} iterations")
 
     # ---- defaults ------------------------------------------------------
     @property
@@ -215,11 +223,12 @@ class AlgoSpec:
 @dataclass
 class RunResult:
     """Outcome of running a spec on one view: the full trajectory plus
-    run metrics. ``history[i]`` is the exact iteration-i state."""
+    run metrics. ``history[i]`` is the exact iteration-i state, laid out
+    over the sorted vertex ids ``idx`` with ``spec.n_keys`` keys each."""
 
     spec: AlgoSpec
     view: ViewEdges
-    idx: pd.Index
+    idx: np.ndarray
     history: list[np.ndarray]
     deg: np.ndarray | None
     seconds: float
@@ -234,203 +243,138 @@ class RunResult:
 
     def final_pd(self) -> pd.DataFrame:
         """Final state as a tidy frame (vid[, q], val)."""
-        if isinstance(self.idx, pd.MultiIndex):
-            out = self.idx.to_frame(index=False)
-            out.columns = ["vid", "q"]
-        else:
-            out = pd.DataFrame({"vid": self.idx.to_numpy()})
-        out["val"] = self.final()
-        return out
+        Q = self.spec.n_keys
+        if Q == 1:
+            return pd.DataFrame({"vid": self.idx, "val": self.final()})
+        return pd.DataFrame({
+            "vid": np.repeat(self.idx, Q),
+            "q": np.tile(np.arange(Q, dtype="int64"), len(self.idx)),
+            "val": self.final(),
+        })
 
 
 # ----------------------------------------------------------------- helpers
-def _vid_level(idx: pd.Index) -> np.ndarray:
-    return (
-        idx.get_level_values(0).to_numpy()
-        if isinstance(idx, pd.MultiIndex)
-        else idx.to_numpy()
-    )
+def _locate(vids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions of ``keys`` in the sorted ``vids``; every key must be in it."""
+    at = np.searchsorted(vids, keys)
+    bad = at >= len(vids)
+    bad[~bad] = vids[at[~bad]] != keys[~bad]
+    if bad.any():
+        raise ValueError(f"edge endpoint {keys[bad][0]} is not in the vertex set")
+    return at
 
 
-def _state_frame(
-    idx: pd.Index, vals: np.ndarray, positions: np.ndarray, deg: np.ndarray | None
-) -> tuple[pd.DataFrame, str]:
-    """Build the (vid[, q], val[, deg]) frame + schema for a state subset."""
-    sub = idx[positions]
-    if isinstance(idx, pd.MultiIndex):
-        pdf = sub.to_frame(index=False)
-        pdf.columns = ["vid", "q"]
-        schema = "vid long, q long, val double"
-    else:
-        pdf = pd.DataFrame({"vid": sub.to_numpy()})
-        schema = "vid long, val double"
-    pdf["val"] = vals[positions]
-    if deg is not None:
-        pdf["deg"] = deg[positions]
-        schema += ", deg double"
-    return pdf, schema
-
-
-def _key_frame(idx: pd.Index, positions: np.ndarray) -> tuple[pd.DataFrame, str]:
-    sub = idx[positions]
-    if isinstance(idx, pd.MultiIndex):
-        pdf = sub.to_frame(index=False)
-        pdf.columns = ["vid", "q"]
-        return pdf, "vid long, q long"
-    return pd.DataFrame({"vid": sub.to_numpy()}), "vid long"
-
-
-def _raw_positions(idx: pd.Index, keys: pd.DataFrame) -> np.ndarray:
-    """Global positions of (vid[, q]) key rows; -1 for unknown keys."""
-    if isinstance(idx, pd.MultiIndex):
-        mi = pd.MultiIndex.from_arrays([keys["vid"], keys["q"]])
-        return idx.get_indexer(mi)
-    return idx.get_indexer(keys["vid"])
-
-
-def _positions_of(idx: pd.Index, keys: pd.DataFrame) -> np.ndarray:
-    """Global positions of (vid[, q]) key rows; unknown keys dropped."""
-    pos = _raw_positions(idx, keys)
-    return pos[pos >= 0]
+def _all_keys(vpos: np.ndarray, Q: int) -> np.ndarray:
+    """Every state position (each q) of the vertices at ``vpos``, sorted."""
+    return np.unique((vpos[:, None] * Q + np.arange(Q)).ravel())
 
 
 def _expand_out_neighbours(
-    idx: pd.Index, view: "ViewEdges", changed_pos: np.ndarray
+    vids: np.ndarray, Q: int, view: ViewEdges, changed_pos: np.ndarray
 ) -> np.ndarray:
-    """Positions of out-neighbours (in the new view) of changed keys."""
-    if len(changed_pos) == 0:
-        return np.empty(0, dtype="int64")
-    if isinstance(idx, pd.MultiIndex):
-        ch = idx[changed_pos].to_frame(index=False)
-        ch.columns = ["vid", "q"]
-        frames = []
-        for q, grp in ch.groupby("q"):
-            dsts = np.unique(view.out_adj.gather(np.unique(grp["vid"].to_numpy())))
-            if len(dsts):
-                frames.append(pd.DataFrame({"vid": dsts, "q": q}))
-        if not frames:
-            return np.empty(0, dtype="int64")
-        return _positions_of(idx, pd.concat(frames, ignore_index=True))
-    vids = np.unique(idx[changed_pos].to_numpy())
-    dsts = np.unique(view.out_adj.gather(vids))
-    return _positions_of(idx, pd.DataFrame({"vid": dsts}))
+    """Positions of out-neighbours (in the new view) of changed keys, each
+    under the key ``q`` of the change."""
+    dsts, counts = view.out_adj.gather(vids[changed_pos // Q])
+    q = np.repeat(changed_pos % Q, counts)
+    return np.unique(np.searchsorted(vids, dsts) * Q + q)
 
 
 def _in_edge_subset(
-    idx: pd.Index, view: "ViewEdges", aff_pos: np.ndarray
-) -> tuple[pd.DataFrame, np.ndarray]:
-    """The in-edges feeding the affected keys, plus the positions of the
-    message *sources* whose state is needed to recompute them."""
-    if isinstance(idx, pd.MultiIndex):
-        aff = idx[aff_pos].to_frame(index=False)
-        aff.columns = ["vid", "q"]
-        dst_vids = np.unique(aff["vid"].to_numpy())
-        rows = view.in_rows.gather(dst_vids)
-        sub = view.pd.iloc[np.sort(rows)]
-        hit = sub[["src", "dst"]].merge(
-            aff, left_on="dst", right_on="vid"
-        )[["src", "q"]].drop_duplicates()
-        hit.columns = ["vid", "q"]
-        return sub, _positions_of(idx, hit)
-    dst_vids = np.unique(idx[aff_pos].to_numpy())
-    rows = view.in_rows.gather(dst_vids)
-    sub = view.pd.iloc[np.sort(rows)]
-    srcs = pd.unique(sub["src"])
-    return sub, _positions_of(idx, pd.DataFrame({"vid": srcs}))
+    vids: np.ndarray, Q: int, view: ViewEdges, aff_pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One message per in-edge of each affected key: the edge rows, the
+    destination positions (nondecreasing, as ``aff_pos`` is sorted) and
+    the source positions whose state the messages read."""
+    rows, counts = view.in_rows.gather(vids[aff_pos // Q])
+    dst_pos = np.repeat(aff_pos, counts)
+    src_pos = np.searchsorted(vids, view.src[rows]) * Q + dst_pos % Q
+    return rows, dst_pos, src_pos
 
 
-def _aggregate_local(
+def _segment_reduce(
     spec: AlgoSpec,
-    idx: pd.Index,
+    view: ViewEdges,
+    Q: int,
     state: np.ndarray,
     deg: np.ndarray | None,
-    sub_edges: pd.DataFrame,
+    rows: np.ndarray,
+    dst_pos: np.ndarray,
     src_pos: np.ndarray,
-    aff_pos: np.ndarray,
-) -> pd.DataFrame:
-    """Driver-side mirror of :func:`_aggregate` for tiny rounds: the same
-    join + groupBy over the in-edge subset, in pandas."""
-    key = ["vid", "q"] if spec.keyed else ["vid"]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The driver backend: messages of the gathered in-edges, reduced per
+    destination position. ``dst_pos`` is nondecreasing, so each position's
+    messages form one contiguous segment. Returns (positions, agg)."""
+    val = state[src_pos]
     if spec.filters_identity:
-        src_pos = src_pos[np.isfinite(state[src_pos])]
-    if len(src_pos) == 0 or len(sub_edges) == 0:
-        return pd.DataFrame(columns=key + ["agg"])
-    st_pd, _ = _state_frame(idx, state, src_pos, deg)
-    m = sub_edges.merge(st_pd, left_on="src", right_on="vid")
-    if len(m) == 0:
-        return pd.DataFrame(columns=key + ["agg"])
-    msg = spec.message_np(
-        m["val"].to_numpy(),
-        m["weight"].to_numpy(),
-        m["deg"].to_numpy() if deg is not None else None,
+        keep = np.isfinite(val)
+        rows, dst_pos, src_pos, val = rows[keep], dst_pos[keep], src_pos[keep], val[keep]
+    if len(rows) == 0:
+        return _NO_POS, np.empty(0)
+    msg = spec.message(
+        val, view.weight[rows], None if deg is None else deg[src_pos // Q]
     )
-    mdf = pd.DataFrame({"vid": m["dst"].to_numpy(), "msg": msg})
-    if spec.keyed:
-        mdf["q"] = m["q"].to_numpy()
-        aff = idx[aff_pos].to_frame(index=False)
-        aff.columns = ["vid", "q"]
-        mdf = mdf.merge(aff, on=["vid", "q"])
-    else:
-        aff = pd.DataFrame({"vid": idx[aff_pos].to_numpy()})
-        mdf = mdf.merge(aff, on="vid")
-    fn = {"min": "min", "max": "max", "sum": "sum"}[spec.agg]
-    agg = mdf.groupby(key, as_index=False)["msg"].agg(fn)
-    return agg.rename(columns={"msg": "agg"})
+    starts = np.flatnonzero(np.diff(dst_pos, prepend=-1))
+    return dst_pos[starts], _REDUCE[spec.agg].reduceat(msg, starts)
 
 
 def _aggregate(
     spark: SparkSession,
     view: ViewEdges,
     spec: AlgoSpec,
-    idx: pd.Index,
+    vids: np.ndarray,
+    Q: int,
     state: np.ndarray,
     deg: np.ndarray | None,
-    src_pos: np.ndarray | None,
-    aff_pos: np.ndarray | None,
-) -> pd.DataFrame:
-    """One dataflow round in Spark: messages = edges ⋈ state, then groupBy
-    aggregation, restricted to affected destinations. Returns a pandas
-    frame (vid[, q], agg)."""
-    key = ["vid", "q"] if spec.keyed else ["vid"]
-    if src_pos is None:
-        src_pos = np.arange(len(idx), dtype="int64")
+    src_pos: np.ndarray,
+    aff_pos: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Spark backend: messages = edges ⋈ state, restricted to affected
+    destinations, then groupBy aggregation. Returns (positions, agg)."""
     if spec.filters_identity:
-        vals = state[src_pos]
-        src_pos = src_pos[np.isfinite(vals)]
+        src_pos = src_pos[np.isfinite(state[src_pos])]
     if len(src_pos) == 0:
-        return pd.DataFrame(columns=key + ["agg"])
-    st_pd, st_schema = _state_frame(idx, state, src_pos, deg)
-    st = spark.createDataFrame(st_pd, schema=st_schema)
-    e = view.sdf
-    # The state (and affected-set) frames are small driver-built relations —
+        return _NO_POS, np.empty(0)
+    st = pd.DataFrame(
+        {"vid": vids[src_pos // Q], "q": src_pos % Q, "val": state[src_pos]}
+    )
+    schema = "vid long, q long, val double"
+    if deg is not None:
+        st["deg"] = deg[src_pos // Q]
+        schema += ", deg double"
+    # The state and affected-set frames are small driver-built relations —
     # DD co-locates them with the edge arrangement, so they are broadcast
     # explicitly (the session default disables *automatic* broadcasts). The
     # aggregation below still shuffles, sized by the actual message volume,
     # which is exactly DD's work-proportional-to-differences cost model.
-    joined = e.join(F.broadcast(st), e.src == st.vid)
-    sel = [e.dst.alias("vid")] + ([st.q] if spec.keyed else [])
-    msgs = joined.select(*sel, spec.message().alias("msg"))
-    if aff_pos is not None:
-        aff_pd, aff_schema = _key_frame(idx, aff_pos)
-        aff_sdf = spark.createDataFrame(aff_pd, schema=aff_schema)
-        msgs = msgs.join(F.broadcast(aff_sdf), on=key, how="left_semi")
-    agg = msgs.groupBy(*key).agg(_AGG_FN[spec.agg]("msg").alias("agg"))
-    return agg.toPandas()
+    st_sdf = F.broadcast(spark.createDataFrame(st, schema=schema))
+    e = view.sdf
+    msgs = e.join(st_sdf, e.src == st_sdf.vid).select(
+        e.dst.alias("vid"),
+        st_sdf.q,
+        spec.message(F.col("val"), F.col("weight"), F.col("deg")).alias("msg"),
+    )
+    if len(aff_pos) < len(state):  # a round over every key needs no filter
+        aff = pd.DataFrame({"vid": vids[aff_pos // Q], "q": aff_pos % Q})
+        aff_sdf = spark.createDataFrame(aff, schema="vid long, q long")
+        msgs = msgs.join(F.broadcast(aff_sdf), on=["vid", "q"], how="left_semi")
+    agg = msgs.groupBy("vid", "q").agg(_AGG_FN[spec.agg]("msg").alias("agg")).toPandas()
+    pos = np.searchsorted(vids, agg["vid"].to_numpy()) * Q + agg["q"].to_numpy()
+    return pos.astype("int64"), agg["agg"].to_numpy(dtype="float64")
 
 
 def _effective_delta_dirty(
     spec: AlgoSpec,
-    idx: pd.Index,
+    vids: np.ndarray,
     prev_view: ViewEdges,
     new_view: ViewEdges,
     delta_pd: pd.DataFrame | None,
 ) -> np.ndarray:
-    """Positions affected by the edge diff at *every* iteration: dst
-    endpoints of δ. For undirected specs both endpoints of δ are marked: an
-    edge of the symmetrized view changes only if u→v or v→u is in δ, so this
-    is a safe superset of the symmetrized views' diff (which can be smaller,
-    e.g. when one edge of a reciprocal pair leaves). Without a fed δ, the
-    diff is recomputed from the two views."""
+    """Positions (every q) affected by the edge diff at *every* iteration:
+    dst endpoints of δ. For undirected specs both endpoints of δ are
+    marked: an edge of the symmetrized view changes only if u→v or v→u is
+    in δ, so this is a safe superset of the symmetrized views' diff (which
+    can be smaller, e.g. when one edge of a reciprocal pair leaves).
+    Without a fed δ, the diff is recomputed from the two views."""
     if delta_pd is None:
         a = prev_view.pd[["src", "dst", "weight"]]
         b = new_view.pd[["src", "dst", "weight"]]
@@ -440,14 +384,7 @@ def _effective_delta_dirty(
         dsts = pd.concat([delta_pd["src"], delta_pd["dst"]], ignore_index=True)
     else:
         dsts = delta_pd["dst"]
-    dsts = dsts.drop_duplicates()
-    if isinstance(idx, pd.MultiIndex):
-        qs = idx.get_level_values(1).unique()
-        keys = pd.MultiIndex.from_product([dsts, qs])
-        pos = idx.get_indexer(keys)
-        return np.unique(pos[pos >= 0])
-    pos = idx.get_indexer(dsts)
-    return np.unique(pos[pos >= 0])
+    return _all_keys(_locate(vids, dsts.to_numpy(dtype="int64")), spec.n_keys)
 
 
 def run_view(
@@ -459,19 +396,26 @@ def run_view(
     prev: RunResult | None = None,
     delta_pd: pd.DataFrame | None = None,
     max_iters: int | None = None,
-    local_threshold: int = LOCAL_AGG_THRESHOLD,
 ) -> RunResult:
     """Run ``spec`` on ``view`` — from scratch (``prev=None``) or
-    differentially against the previous view's trajectory."""
+    differentially against the previous view's trajectory. Every edge
+    endpoint must be in ``vertices``."""
     t_start = time.perf_counter()
     if prev is not None and prev.spec is not spec and prev.spec.name != spec.name:
         raise ValueError("advance must reuse the same algorithm spec")
-    idx = prev.idx if prev is not None else spec.build_index(vertices)
-    init = spec.init_values(idx)
-    n = len(idx)
-    vids = _vid_level(idx)
+    vids = (
+        prev.idx
+        if prev is not None
+        else np.unique(vertices["vid"].to_numpy(dtype="int64"))
+    )
+    _locate(vids, view.src)
+    _locate(vids, view.dst)
+    Q = spec.n_keys
+    init = spec.init_values(vids)
     deg = view.out_degree(vids) if spec.uses_degree else None
-    limit = max_iters if max_iters is not None else n + 2
+    # Each key's fixpoint needs at most |V| rounds, plus the round that
+    # shows no change.
+    limit = max_iters if max_iters is not None else len(vids) + 2
     if spec.fixed_iters is not None:
         limit = spec.fixed_iters
 
@@ -480,19 +424,19 @@ def run_view(
 
     states: list[np.ndarray] = [init.copy()]
     if prev is None:
-        dirty = np.empty(0, dtype="int64")
+        dirty = _NO_POS
         changed = None  # sentinel: "everything" (first scratch round)
     else:
-        dirty = _effective_delta_dirty(spec, idx, prev.view, view, delta_pd)
+        dirty = _effective_delta_dirty(spec, vids, prev.view, view, delta_pd)
         if spec.uses_degree:
             # A vertex whose out-degree changed emits different messages at
             # *every* iteration (msg = f(val, deg)), so its out-neighbours
             # in the new view are permanently dirty, like δ endpoints.
-            deg_changed = np.flatnonzero(deg != prev.deg)
+            deg_changed = _all_keys(np.flatnonzero(deg != prev.deg), Q)
             dirty = np.union1d(
-                dirty, _expand_out_neighbours(idx, view, deg_changed)
+                dirty, _expand_out_neighbours(vids, Q, view, deg_changed)
             )
-        changed = np.empty(0, dtype="int64")
+        changed = _NO_POS
 
     total_affected = 0
     jobs = 0
@@ -503,65 +447,38 @@ def run_view(
     while it < limit:
         it += 1
         # ---- affected set -------------------------------------------------
-        if changed is None:  # scratch, first round: all destinations
-            aff_pos = None
+        if changed is None:
+            aff_pos = np.arange(len(init), dtype="int64")
         else:
-            nbrs = _expand_out_neighbours(idx, view, changed)
+            nbrs = _expand_out_neighbours(vids, Q, view, changed)
             aff_pos = np.union1d(dirty, nbrs)
-        base = (
-            states[it - 1]
-            if prev is None
-            else hist_old[min(it, horizon)]
-        )
-        if aff_pos is not None and len(aff_pos) == 0:
-            state_i = base.copy()
-            states.append(state_i)
-            changed = np.empty(0, dtype="int64")
-            affected_per_iter.append(0)
-            changed_per_iter.append(0)
-            if spec.fixed_iters is None and it >= horizon and np.array_equal(
-                states[it], states[it - 1]
-            ):
-                break
-            continue
-        # ---- one dataflow round -------------------------------------------
-        if aff_pos is None:
-            agg_pd = _aggregate(
-                spark, view, spec, idx, states[it - 1], deg, None, None
-            )
-            jobs += 1
-        else:
-            sub_edges, src_pos = _in_edge_subset(idx, view, aff_pos)
-            if len(sub_edges) <= local_threshold:
-                agg_pd = _aggregate_local(
-                    spec, idx, states[it - 1], deg, sub_edges, src_pos, aff_pos
+        base = states[it - 1] if prev is None else hist_old[min(it, horizon)]
+        total_affected += len(aff_pos)
+        state_i = base.copy()
+        changed = _NO_POS
+        if len(aff_pos):
+            # ---- one dataflow round -----------------------------------------
+            rows, dst_pos, src_pos = _in_edge_subset(vids, Q, view, aff_pos)
+            if len(rows) <= LOCAL_AGG_THRESHOLD:
+                g_pos, g_agg = _segment_reduce(
+                    spec, view, Q, states[it - 1], deg, rows, dst_pos, src_pos
                 )
                 local_rounds += 1
             else:
-                agg_pd = _aggregate(
-                    spark, view, spec, idx, states[it - 1], deg, src_pos, aff_pos
+                g_pos, g_agg = _aggregate(
+                    spark, view, spec, vids, Q, states[it - 1], deg,
+                    np.unique(src_pos), aff_pos,
                 )
                 jobs += 1
-        if aff_pos is None:
-            aff_pos = np.arange(n, dtype="int64")
-        total_affected += len(aff_pos)
-        agg_arr = np.full(len(aff_pos), np.nan)
-        if len(agg_pd):
-            raw = _raw_positions(idx, agg_pd)
-            valid = raw >= 0
-            g_pos = raw[valid]
-            g_vals = agg_pd["agg"].to_numpy(dtype="float64")[valid]
-            loc = np.searchsorted(aff_pos, g_pos)
-            agg_arr[loc] = g_vals
-        new_vals = spec.update(init[aff_pos], agg_arr)
-        old_vals = base[aff_pos]
-        with np.errstate(invalid="ignore"):
-            diff = ~np.isclose(
-                new_vals, old_vals, rtol=0.0, atol=spec.tol, equal_nan=True
-            )
-        changed = aff_pos[diff]
-        state_i = base.copy()
-        state_i[aff_pos] = new_vals
+            agg_arr = np.full(len(aff_pos), np.nan)
+            agg_arr[np.searchsorted(aff_pos, g_pos)] = g_agg
+            new_vals = spec.update(init[aff_pos], agg_arr)
+            with np.errstate(invalid="ignore"):
+                diff = ~np.isclose(
+                    new_vals, base[aff_pos], rtol=0.0, atol=spec.tol, equal_nan=True
+                )
+            changed = aff_pos[diff]
+            state_i[aff_pos] = new_vals
         states.append(state_i)
         affected_per_iter.append(int(len(aff_pos)))
         changed_per_iter.append(int(len(changed)))
@@ -575,14 +492,12 @@ def run_view(
                 break
     else:
         if spec.fixed_iters is None:
-            raise RuntimeError(
-                f"{spec.name}: no fixpoint within {limit} iterations"
-            )
+            raise spec.no_fixpoint(limit)
 
     return RunResult(
         spec=spec,
         view=view,
-        idx=idx,
+        idx=vids,
         history=states,
         deg=deg,
         seconds=time.perf_counter() - t_start,

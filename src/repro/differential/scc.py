@@ -25,8 +25,7 @@ import time
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.differential.engine import AlgoSpec, RunResult, ViewEdges, run_view
 
@@ -39,16 +38,10 @@ class _MaxColor(AlgoSpec):
     name = "SCC/color"
     agg = "max"
 
-    def build_index(self, vertices: pd.DataFrame) -> pd.Index:
-        return pd.Index(np.sort(vertices["vid"].to_numpy(dtype="int64")), name="vid")
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        return vids.astype("float64")
 
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        return idx.to_numpy(dtype="float64")
-
-    def message(self) -> Column:
-        return F.col("val")
-
-    def message_np(self, val, weight, deg):
+    def message(self, val, weight, deg):
         return val
 
     def update(self, init_vals: np.ndarray, agg_vals: np.ndarray) -> np.ndarray:
@@ -65,18 +58,12 @@ class _Reach(AlgoSpec):
     def __init__(self, roots: np.ndarray):
         self.roots = np.asarray(roots, dtype="int64")
 
-    def build_index(self, vertices: pd.DataFrame) -> pd.Index:
-        return pd.Index(np.sort(vertices["vid"].to_numpy(dtype="int64")), name="vid")
-
-    def init_values(self, idx: pd.Index) -> np.ndarray:
-        v = np.full(len(idx), _NEG_INF)
-        v[idx.get_indexer(self.roots)] = 1.0
+    def init_values(self, vids: np.ndarray) -> np.ndarray:
+        v = np.full(len(vids), _NEG_INF)
+        v[np.searchsorted(vids, self.roots)] = 1.0
         return v
 
-    def message(self) -> Column:
-        return F.col("val")
-
-    def message_np(self, val, weight, deg):
+    def message(self, val, weight, deg):
         return val
 
     def update(self, init_vals: np.ndarray, agg_vals: np.ndarray) -> np.ndarray:
@@ -89,7 +76,7 @@ class SCC:
     name = "SCC"
     supports_advance = False
     undirected = False
-    keyed = False
+    n_keys = 1
 
     def __init__(self, max_rounds: int = 10_000):
         self.max_rounds = max_rounds
@@ -122,9 +109,9 @@ class SCC:
 
     def run(self, spark: SparkSession, view: ViewEdges, vertices: pd.DataFrame) -> RunResult:
         t0 = time.perf_counter()
-        idx = pd.Index(np.sort(vertices["vid"].to_numpy(dtype="int64")), name="vid")
-        scc_id = np.full(len(idx), np.nan)
-        active = idx.to_numpy()
+        vids = np.unique(vertices["vid"].to_numpy(dtype="int64"))
+        scc_id = np.full(len(vids), np.nan)
+        active = vids
         edges = view.pd
         iters = 0
         jobs = 0
@@ -134,22 +121,26 @@ class SCC:
             rounds += 1
             trimmed, active = self._trim(edges, active)
             if len(trimmed):
-                scc_id[idx.get_indexer(trimmed)] = trimmed.astype("float64")
+                scc_id[np.searchsorted(vids, trimmed)] = trimmed
             if len(active) == 0:
                 break
             act_set = pd.Index(active)
             sub = edges[edges.src.isin(act_set) & edges.dst.isin(act_set)]
             sub = sub[sub.src != sub.dst]
+            # `active` is sorted and unique, so it is the state layout of
+            # both runs below: position i holds active[i].
             verts = pd.DataFrame({"vid": active})
             cview = ViewEdges(spark, sub)
             colors = run_view(spark, cview, _MaxColor(), verts)
-            cvals = colors.final().astype("int64")
+            cvals = colors.final()
             iters += colors.iters
             jobs += colors.spark_jobs
             affected += colors.affected_total
-            cmap = pd.Series(cvals, index=colors.idx)
-            roots = colors.idx.to_numpy()[cvals == colors.idx.to_numpy()]
-            same = cmap.loc[sub.src].to_numpy() == cmap.loc[sub.dst].to_numpy()
+            roots = active[cvals == active]
+            same = (
+                cvals[np.searchsorted(active, sub.src.to_numpy())]
+                == cvals[np.searchsorted(active, sub.dst.to_numpy())]
+            )
             rev = sub[same].rename(columns={"src": "dst", "dst": "src"})
             rview = ViewEdges(spark, rev[["src", "dst", "weight"]])
             reach = run_view(spark, rview, _Reach(roots), verts)
@@ -157,11 +148,8 @@ class SCC:
             jobs += reach.spark_jobs
             affected += reach.affected_total
             member = reach.final() == 1.0
-            members = reach.idx.to_numpy()[member]
-            scc_id[idx.get_indexer(members)] = cmap.loc[members].to_numpy(
-                dtype="float64"
-            )
-            active = reach.idx.to_numpy()[~member]
+            scc_id[np.searchsorted(vids, active[member])] = cvals[member]
+            active = active[~member]
             cview.unpersist()
             rview.unpersist()
         if np.isnan(scc_id).any():
@@ -169,7 +157,7 @@ class SCC:
         return RunResult(
             spec=self,  # type: ignore[arg-type]
             view=view,
-            idx=idx,
+            idx=vids,
             history=[scc_id],
             deg=None,
             seconds=time.perf_counter() - t0,
